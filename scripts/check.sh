@@ -6,6 +6,8 @@
 #   0b. Robustness lint: src/{rctree,core,engine} must throw typed
 #      robust::Error (or std::invalid_argument for caller bugs), never bare
 #      std::runtime_error — the engine's failure records depend on codes.
+#   0c. Shared-encoder lint: append_json_string and the FNV-1a offset basis
+#      are defined only in src/obs/encode.{hpp,cpp}.
 #   1. ThreadSanitizer build; runs the engine tests (thread pool, net cache,
 #      batch analyzer), the shared-TreeContext tests, the obs registry/tracer
 #      tests, the robustness tests (deadline/retry/fault injection), the
@@ -80,6 +82,22 @@ ROBUST_HITS=$(grep -rn 'throw std::runtime_error' "${ROBUST_DIRS[@]}" || true)
 if [[ -n "$ROBUST_HITS" ]]; then
   echo "$ROBUST_HITS"
   echo "lint: use robust::Error with a typed Code instead of std::runtime_error"
+  exit 1
+fi
+
+# --- lint: one JSON escaper and one FNV-1a ----------------------------------
+# Wire bytes, `rct batch --json` stdout, design handles, NetKey hashes and
+# DiskStore entry paths all depend on these two encoders; a private copy
+# drifts silently.  src/obs/encode.{hpp,cpp} hold the only definitions.
+SHARED_DIRS=(src tools bench examples tests)
+SHARED_MODULE_RE='^src/obs/encode\.(hpp|cpp):'
+echo "== lint: append_json_string / FNV-1a outside src/obs/encode =="
+SHARED_HITS=$( (grep -rnE '^\s*(static\s+|inline\s+)*void\s+append_json_string\s*\(' \
+                  "${SHARED_DIRS[@]}"; grep -rn '14695981039346656037' "${SHARED_DIRS[@]}") \
+  | grep -vE "$SHARED_MODULE_RE" || true)
+if [[ -n "$SHARED_HITS" ]]; then
+  echo "$SHARED_HITS"
+  echo "lint: use obs::append_json_string / obs::fnv1a from src/obs/encode.hpp"
   exit 1
 fi
 

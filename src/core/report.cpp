@@ -257,9 +257,12 @@ std::optional<std::vector<NodeReport>> deserialize_report(std::string_view bytes
   BlobReader in(bytes);
   const std::uint64_t n_rows = in.take_u64();
   if (!in.ok) return std::nullopt;
-  // A row costs at least 81 bytes; reject counts the blob cannot hold so a
-  // corrupted length field never triggers a huge allocation.
-  if (n_rows > static_cast<std::uint64_t>(in.end - in.p) / 81) return std::nullopt;
+  // A row costs at least 73 bytes — name length, depth, seven metrics and
+  // the flags byte, with an empty name and no exact values; reject counts
+  // the blob cannot hold so a corrupted length field never triggers a huge
+  // allocation.
+  constexpr std::uint64_t kMinRowBytes = 8 + 8 + 7 * 8 + 1;
+  if (n_rows > static_cast<std::uint64_t>(in.end - in.p) / kMinRowBytes) return std::nullopt;
   std::vector<NodeReport> rows;
   rows.reserve(n_rows);
   for (std::uint64_t i = 0; i < n_rows; ++i) {

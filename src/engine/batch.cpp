@@ -12,6 +12,7 @@
 
 #include "engine/net_cache.hpp"
 #include "engine/thread_pool.hpp"
+#include "obs/encode.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -22,6 +23,10 @@
 #include "robust/fault.hpp"
 
 namespace rct::engine {
+
+using obs::append_json_double;
+using obs::append_json_string;
+
 namespace {
 
 /// Wall + process-CPU stopwatch for one phase.
@@ -84,12 +89,30 @@ obs::Histogram& merge_phase_histogram() {
   return h;
 }
 
+/// Brackets one traced pipeline step; costs one branch when `hooks` is
+/// nullptr.
+class StepScope {
+ public:
+  StepScope(NetHooks* hooks, NetHooks::Step step) : hooks_(hooks), step_(step) {
+    if (hooks_ != nullptr) hooks_->step_begin(step_);
+  }
+  ~StepScope() {
+    if (hooks_ != nullptr) hooks_->step_end(step_);
+  }
+  StepScope(const StepScope&) = delete;
+  StepScope& operator=(const StepScope&) = delete;
+
+ private:
+  NetHooks* hooks_;
+  NetHooks::Step step_;
+};
+
 /// One analysis attempt; never throws (failures land in result.error with
 /// a typed code).  `report` is the per-attempt option set — the deadline
 /// pointer and the retry's with_exact flip live there, not in
 /// options.report.
 NetResult analyze_one_impl(const SpefNet& net, const core::ReportOptions& report,
-                           NetCache* cache) {
+                           NetCache* cache, TreeOwnership ownership, NetHooks* hooks) {
   const obs::Span span("engine.net.analyze", "engine", net.name);
   const obs::ScopedTimer timer(net_analyze_histogram());
   EngineCounters& ec = EngineCounters::get();
@@ -107,27 +130,36 @@ NetResult analyze_one_impl(const SpefNet& net, const core::ReportOptions& report
     r.total_capacitance = net.tree.total_capacitance();
     if (cache != nullptr) {
       const NetKey key = NetKey::of(net.tree, report);
-      if (auto hit = cache->lookup(key, net.tree)) {
-        r.rows = std::move(*hit);
-        r.from_cache = true;
-        return r;
+      {
+        const StepScope step(hooks, NetHooks::Step::kCacheLookup);
+        if (auto hit = cache->lookup(key, net.tree, &r.source)) {
+          r.rows = std::move(*hit);
+          return r;
+        }
       }
       ec.tasks_run.add();
       // Share derived arrays by content: a content-identical net analyzed
       // under different options (or concurrently) reuses the same context.
-      // The borrowed donor tree is a batch net, which outlives the cache.
-      const NetKey ckey = NetKey::content_of(net.tree);
-      std::shared_ptr<const analysis::TreeContext> ctx = cache->lookup_context(ckey);
-      if (ctx != nullptr) {
-        ec.context_reuses.add();
-      } else {
-        auto built = std::make_shared<const analysis::TreeContext>(net.tree);
-        ctx = cache->insert_context(ckey, built);
-        if (ctx == built)
-          ec.contexts_built.add();
-        else
-          ec.context_reuses.add();  // lost the insert race
+      std::shared_ptr<const analysis::TreeContext> ctx;
+      {
+        const StepScope step(hooks, NetHooks::Step::kContextBuild);
+        const NetKey ckey = NetKey::content_of(net.tree);
+        ctx = cache->lookup_context(ckey);
+        if (ctx != nullptr) {
+          ec.context_reuses.add();
+        } else {
+          auto built = ownership == TreeOwnership::kCopy
+                           ? std::make_shared<const analysis::TreeContext>(
+                                 std::make_shared<const RCTree>(net.tree))
+                           : std::make_shared<const analysis::TreeContext>(net.tree);
+          ctx = cache->insert_context(ckey, built);
+          if (ctx == built)
+            ec.contexts_built.add();
+          else
+            ec.context_reuses.add();  // lost the insert race
+        }
       }
+      const StepScope step(hooks, NetHooks::Step::kReportBuild);
       r.rows = core::build_report(*ctx, report);
       // A donor context computed the rows under its own tree's names.
       if (&ctx->tree() != &net.tree) rebind_report_names(r.rows, net.tree);
@@ -152,17 +184,23 @@ NetResult analyze_one_impl(const SpefNet& net, const core::ReportOptions& report
   return r;
 }
 
-/// analyze_one_impl plus the per-attempt observability shell: a flight
-/// recorder event covering the attempt (named by `phase`) and plain-chrono
-/// wall timing into NetResult::analyze_seconds.  The chrono clock is
-/// deliberately independent of RCT_OBS so `--top-slow` works in every
-/// build.
-NetResult analyze_one(const SpefNet& net, const core::ReportOptions& report, NetCache* cache,
-                      const char* phase) {
+/// analyze_one_impl plus the per-attempt shell: a fresh deadline of
+/// `timeout_ms` (announced to the hooks, which may cancel it), a flight
+/// recorder event covering the attempt (named by `phase`) and
+/// plain-chrono wall timing into NetResult::analyze_seconds.  The chrono
+/// clock is deliberately independent of RCT_OBS so `--top-slow` works in
+/// every build.
+NetResult analyze_attempt(const SpefNet& net, core::ReportOptions report,
+                          std::uint64_t timeout_ms, NetCache* cache, TreeOwnership ownership,
+                          NetHooks* hooks, const char* phase) {
+  const robust::Deadline deadline = robust::Deadline::after_ms(timeout_ms);
+  // An unarmed deadline still matters when hooks can cancel it.
+  report.deadline = deadline.armed() || hooks != nullptr ? &deadline : nullptr;
+  if (hooks != nullptr) hooks->attempt_begin(deadline);
   obs::flight::Recorder& fr = obs::flight::recorder();
   obs::flight::Recorder::Handle flight = fr.begin(net.name, phase);
   const auto wall_start = std::chrono::steady_clock::now();
-  NetResult r = analyze_one_impl(net, report, cache);
+  NetResult r = analyze_one_impl(net, report, cache, ownership, hooks);
   r.analyze_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   obs::flight::Outcome outcome = obs::flight::Outcome::kOk;
@@ -171,144 +209,132 @@ NetResult analyze_one(const SpefNet& net, const core::ReportOptions& report, Net
                                                : obs::flight::Outcome::kFailed;
   }
   fr.end(flight, outcome, r.code);
+  if (hooks != nullptr) hooks->attempt_end(deadline);
   return r;
 }
 
-/// Full per-net policy: first attempt under the configured options, then —
-/// when the exact path failed for a non-structural reason — one automatic
-/// retry on the moments path with a fresh deadline.
-NetResult run_net(const SpefNet& net, const BatchOptions& options, NetCache* cache) {
-  EngineCounters& ec = EngineCounters::get();
-  core::ReportOptions report = options.report;
-  const robust::Deadline deadline = robust::Deadline::after_ms(options.net_timeout_ms);
-  if (deadline.armed()) report.deadline = &deadline;
-
-  NetResult r = analyze_one(net, report, cache, "analyze");
-  if (!r.ok()) {
-    r.phase = "analyze";
-    if (r.code == robust::Code::kTimeout) {
-      r.timed_out = true;
-      ec.nets_timed_out.add();
-      obs::log::warn("engine.net.timeout",
-                     {{"net", net.name},
-                      {"phase", "analyze"},
-                      {"timeout_ms", options.net_timeout_ms}});
-    }
-    // Parse/topology defects fail identically on any path; everything else
-    // (non-convergence, NaN, timeout, task failure) deserves the cheap
-    // O(N) moments path before we give up on the net.
-    const robust::Category cat = robust::category_of(r.code);
-    const bool retryable = options.retry_on_failure && report.with_exact &&
-                           cat != robust::Category::kParse &&
-                           cat != robust::Category::kTopology;
-    if (retryable) {
-      ec.nets_retried.add();
-      obs::log::info("engine.net.retry",
-                     {{"net", net.name}, {"code", robust::code_name(r.code)}});
-      core::ReportOptions moments = report;
-      moments.with_exact = false;
-      const robust::Deadline retry_deadline = robust::Deadline::after_ms(options.net_timeout_ms);
-      moments.deadline = retry_deadline.armed() ? &retry_deadline : nullptr;
-      NetResult second = analyze_one(net, moments, cache, "retry");
-      second.retried = true;
-      second.timed_out = r.timed_out;
-      second.analyze_seconds += r.analyze_seconds;  // both attempts cost this net
-      if (second.ok()) {
-        r = std::move(second);
-      } else {
-        // Keep the retry's record: it is the failure that made the net
-        // unsalvageable.
-        second.phase = "retry";
-        if (second.code == robust::Code::kTimeout) {
-          second.timed_out = true;
-          ec.nets_timed_out.add();
-          obs::log::warn("engine.net.timeout",
-                         {{"net", net.name},
-                          {"phase", "retry"},
-                          {"timeout_ms", options.net_timeout_ms}});
-        }
-        r = std::move(second);
-      }
-    }
-  }
-  if (!r.ok()) {
-    obs::log::warn("engine.net.failed", {{"net", net.name},
-                                         {"code", robust::code_name(r.code)},
-                                         {"phase", r.phase},
-                                         {"error", r.error}});
-  }
-  if (r.retried) r.degraded = true;
-  for (const core::NodeReport& row : r.rows) {
-    if (row.degraded) {
-      r.degraded = true;
-      break;
-    }
-  }
-  if (r.degraded) ec.nets_degraded.add();
-  return r;
+void note_timeout(const NetResult& r, const char* phase, std::uint64_t timeout_ms) {
+  EngineCounters::get().nets_timed_out.add();
+  obs::log::warn("engine.net.timeout",
+                 {{"net", r.name}, {"phase", phase}, {"timeout_ms", timeout_ms}});
 }
 
-/// The complete per-net task: queue-wait sample, failure-budget
-/// cancellation, run_net, completion counters.  Shared by analyze_nets()
-/// (as the task body) and analyze_spef_file() (run inline right after the
-/// net's section is parsed).
-void run_net_slot(const SpefNet& net, NetResult& slot, const BatchOptions& options,
-                  NetCache* cache, std::size_t budget, std::atomic<std::size_t>& failed_so_far,
-                  std::uint64_t enqueue_ns) {
-  EngineCounters& ec = EngineCounters::get();
-  if constexpr (obs::kTimingEnabled)
-    queue_wait_histogram().observe(static_cast<double>(obs::timestamp_ns() - enqueue_ns) *
-                                   1e-9);
-  if (budget != 0 && failed_so_far.load(std::memory_order_relaxed) >= budget) {
-    slot.name = net.name;
-    slot.driver = net.driver;
-    slot.loads = net.loads;
-    slot.nodes = net.tree.size();
-    slot.error = "cancelled: failure budget (" + std::to_string(budget) + ") exhausted";
-    slot.code = robust::Code::kCancelled;
-    slot.phase = "cancelled";
-    ec.nets_cancelled.add();
-    ec.nets_failed.add();
+/// Run-level bookkeeping shared by analyze_nets() and analyze_spef_file():
+/// the run's NetCache, the failure budget, the per-slot task body, the
+/// counter baselines EngineStats is a delta over, the robustness tallies
+/// and the engine.batch.start/done events.
+class BatchRun {
+ public:
+  /// `tasks` nets (or *D_NET sections) will run; `bytes` is the input
+  /// size when the run parses its own file, else 0.
+  BatchRun(const BatchOptions& options, std::size_t tasks, std::size_t bytes)
+      : options_(options),
+        cache_(16, options.cache_max_entries),
+        // Failure budget: once `budget_` nets have failed, remaining tasks
+        // skip their analysis and record kCancelled instead (cooperative —
+        // running nets finish).  0 = unlimited.
+        budget_(options.fail_fast ? std::size_t{1} : options.max_failures),
+        // More workers than tasks is pure thread-create/join overhead.
+        jobs_(options.jobs == 0 ? 0
+                                : std::min(options.jobs, std::max<std::size_t>(tasks, 1))) {
+    if (options.cache_backend != nullptr) cache_.set_backend(options.cache_backend);
+    // EngineStats is a per-run delta over the process-global registry:
+    // runs are assumed not to interleave (concurrent runs would fold into
+    // each other's deltas, while the registry totals stay correct).
+    EngineCounters& ec = EngineCounters::get();
+    base_tasks_ = ec.tasks_run.value();
+    base_built_ = ec.contexts_built.value();
+    base_reused_ = ec.context_reuses.value();
+    base_hits_ = ec.cache_hits.value();
+    obs::log::info("engine.batch.start",
+                   {{"nets", static_cast<std::uint64_t>(tasks)},
+                    {"bytes", static_cast<std::uint64_t>(bytes)},
+                    {"jobs", static_cast<std::uint64_t>(jobs_)},
+                    {"use_cache", options.use_cache},
+                    {"net_timeout_ms", options.net_timeout_ms}});
+  }
+
+  [[nodiscard]] std::size_t jobs() const { return jobs_; }
+
+  /// The complete per-net task: queue-wait sample, failure-budget
+  /// cancellation, analyze_net, completion counters.  The batch borrows
+  /// its nets' trees: they outlive the run's cache.
+  void run_slot(const SpefNet& net, NetResult& slot, std::uint64_t enqueue_ns) {
+    EngineCounters& ec = EngineCounters::get();
+    if constexpr (obs::kTimingEnabled)
+      queue_wait_histogram().observe(static_cast<double>(obs::timestamp_ns() - enqueue_ns) *
+                                     1e-9);
+    if (budget_ != 0 && failed_so_far_.load(std::memory_order_relaxed) >= budget_) {
+      slot.name = net.name;
+      slot.driver = net.driver;
+      slot.loads = net.loads;
+      slot.nodes = net.tree.size();
+      slot.error = "cancelled: failure budget (" + std::to_string(budget_) + ") exhausted";
+      slot.code = robust::Code::kCancelled;
+      slot.phase = "cancelled";
+      ec.nets_cancelled.add();
+      ec.nets_failed.add();
+      ec.nets_completed.add();
+      obs::flight::recorder().record(net.name, "cancelled", obs::flight::Outcome::kCancelled,
+                                     robust::Code::kCancelled, 0);
+      obs::log::debug("engine.net.cancelled", {{"net", net.name}});
+      return;
+    }
+    slot = analyze_net(net, options_, options_.use_cache ? &cache_ : nullptr,
+                       TreeOwnership::kBorrow);
+    if (!slot.ok()) {
+      ec.nets_failed.add();
+      failed_so_far_.fetch_add(1, std::memory_order_relaxed);
+    }
     ec.nets_completed.add();
-    obs::flight::recorder().record(net.name, "cancelled", obs::flight::Outcome::kCancelled,
-                                   robust::Code::kCancelled, 0);
-    obs::log::debug("engine.net.cancelled", {{"net", net.name}});
-    return;
   }
-  slot = run_net(net, options, cache);
-  if (!slot.ok()) {
-    ec.nets_failed.add();
-    failed_so_far.fetch_add(1, std::memory_order_relaxed);
-  }
-  ec.nets_completed.add();
-}
 
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+  /// Fills `stats`' counter deltas and the deterministic robustness
+  /// tallies (straight from the merged results; the global counters feed
+  /// --metrics-out, these feed the summary).
+  void tally(const std::vector<NetResult>& nets, EngineStats& stats) const {
+    EngineCounters& ec = EngineCounters::get();
+    stats.tasks_run = ec.tasks_run.value() - base_tasks_;
+    stats.contexts_built = ec.contexts_built.value() - base_built_;
+    stats.context_reuses = ec.context_reuses.value() - base_reused_;
+    stats.cache_hits = ec.cache_hits.value() - base_hits_;
+    for (const NetResult& r : nets) {
+      if (!r.ok()) ++stats.failures;
+      if (r.degraded) ++stats.degraded;
+      if (r.retried) ++stats.retried;
+      if (r.timed_out) ++stats.timed_out;
+      if (r.code == robust::Code::kCancelled) ++stats.cancelled;
     }
   }
-  out += '"';
-}
 
-void append_json_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12e", v);
-  out += buf;
-}
+  /// Phase histograms and the engine.batch.done event, once `stats` is
+  /// final.
+  static void done(const EngineStats& stats) {
+    if constexpr (obs::kTimingEnabled) {
+      analyze_phase_histogram().observe(stats.analyze.wall_s);
+      merge_phase_histogram().observe(stats.merge.wall_s);
+    }
+    obs::log::info("engine.batch.done",
+                   {{"nets", static_cast<std::uint64_t>(stats.nets)},
+                    {"failures", static_cast<std::uint64_t>(stats.failures)},
+                    {"cache_hits", static_cast<std::uint64_t>(stats.cache_hits)},
+                    {"wall_s", stats.total.wall_s}});
+    // Every analyzed (non-cache-hit) net either built its TreeContext or
+    // adopted one from a content-identical sibling — nothing else.
+    assert(stats.contexts_built + stats.context_reuses == stats.tasks_run);
+  }
+
+ private:
+  const BatchOptions& options_;
+  NetCache cache_;
+  const std::size_t budget_;
+  const std::size_t jobs_;
+  std::atomic<std::size_t> failed_so_far_{0};
+  std::uint64_t base_tasks_ = 0;
+  std::uint64_t base_built_ = 0;
+  std::uint64_t base_reused_ = 0;
+  std::uint64_t base_hits_ = 0;
+};
 
 }  // namespace
 
@@ -341,47 +367,79 @@ std::string EngineStats::summary() const {
   return os.str();
 }
 
+NetResult analyze_net(const SpefNet& net, const BatchOptions& options, NetCache* cache,
+                      TreeOwnership tree, NetHooks* hooks) {
+  EngineCounters& ec = EngineCounters::get();
+  const core::ReportOptions& report = options.report;
+  NetResult r =
+      analyze_attempt(net, report, options.net_timeout_ms, cache, tree, hooks, "analyze");
+  if (!r.ok()) {
+    r.phase = "analyze";
+    if (r.code == robust::Code::kTimeout) {
+      r.timed_out = true;
+      note_timeout(r, "analyze", options.net_timeout_ms);
+    }
+    // Parse/topology defects fail identically on any path, and a cancelled
+    // attempt was told to stop; everything else (non-convergence, NaN,
+    // timeout, task failure) deserves the cheap O(N) moments path before
+    // we give up on the net.
+    const robust::Category cat = robust::category_of(r.code);
+    const bool retryable = options.retry_on_failure && report.with_exact &&
+                           cat != robust::Category::kParse &&
+                           cat != robust::Category::kTopology &&
+                           cat != robust::Category::kCancelled;
+    if (retryable) {
+      ec.nets_retried.add();
+      obs::log::info("engine.net.retry",
+                     {{"net", net.name}, {"code", robust::code_name(r.code)}});
+      core::ReportOptions moments = report;
+      moments.with_exact = false;
+      NetResult second =
+          analyze_attempt(net, moments, options.net_timeout_ms, cache, tree, hooks, "retry");
+      second.retried = true;
+      second.timed_out = r.timed_out;
+      second.analyze_seconds += r.analyze_seconds;  // both attempts cost this net
+      if (!second.ok()) {
+        // Keep the retry's record: it is the failure that made the net
+        // unsalvageable.
+        second.phase = "retry";
+        if (second.code == robust::Code::kTimeout) {
+          second.timed_out = true;
+          note_timeout(second, "retry", options.net_timeout_ms);
+        }
+      }
+      r = std::move(second);
+    }
+  }
+  if (!r.ok()) {
+    obs::log::warn("engine.net.failed", {{"net", net.name},
+                                         {"code", robust::code_name(r.code)},
+                                         {"phase", r.phase},
+                                         {"error", r.error}});
+  }
+  if (r.retried) r.degraded = true;
+  for (const core::NodeReport& row : r.rows) {
+    if (row.degraded) {
+      r.degraded = true;
+      break;
+    }
+  }
+  if (r.degraded) ec.nets_degraded.add();
+  return r;
+}
+
 BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& options) {
   const PhaseTimer total;
   BatchResult out;
   out.nets.resize(nets.size());
   out.stats.nets = nets.size();
-
-  NetCache cache(16, options.cache_max_entries);
-  if (options.cache_backend != nullptr) cache.set_backend(options.cache_backend);
-  NetCache* cache_ptr = options.use_cache ? &cache : nullptr;
-
-  // EngineStats is a per-run delta over the process-global registry: runs
-  // are assumed not to interleave (concurrent analyze_nets calls would fold
-  // into each other's deltas, while the registry totals stay correct).
-  EngineCounters& ec = EngineCounters::get();
-  const std::uint64_t base_tasks = ec.tasks_run.value();
-  const std::uint64_t base_built = ec.contexts_built.value();
-  const std::uint64_t base_reused = ec.context_reuses.value();
-  const std::uint64_t base_hits = ec.cache_hits.value();
-  ec.nets_total.add(nets.size());
-
-  // More workers than nets is pure thread-create/join overhead.
-  const std::size_t jobs =
-      options.jobs == 0 ? 0 : std::min(options.jobs, std::max<std::size_t>(nets.size(), 1));
-
-  // Failure budget: once `budget` nets have failed, remaining tasks skip
-  // their analysis and record kCancelled instead (cooperative — running
-  // nets finish).  0 = unlimited.
-  const std::size_t budget =
-      options.fail_fast ? std::size_t{1} : options.max_failures;
-  std::atomic<std::size_t> failed_so_far{0};
-
-  obs::log::info("engine.batch.start",
-                 {{"nets", static_cast<std::uint64_t>(nets.size())},
-                  {"jobs", static_cast<std::uint64_t>(jobs)},
-                  {"use_cache", options.use_cache},
-                  {"net_timeout_ms", options.net_timeout_ms}});
+  BatchRun run(options, nets.size(), 0);
+  EngineCounters::get().nets_total.add(nets.size());
 
   const PhaseTimer analyze;
   {
     const obs::Span span("engine.batch.analyze", "engine");
-    ThreadPool pool(jobs);
+    ThreadPool pool(run.jobs());
     out.stats.threads = pool.thread_count();
     // One task per net; each writes only its own preassigned slot, so the
     // merged order is the input order regardless of scheduling.
@@ -389,9 +447,7 @@ BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& opti
       const SpefNet& net = nets[i];
       NetResult& slot = out.nets[i];
       const std::uint64_t enqueue_ns = obs::timestamp_ns();
-      pool.submit([&net, &slot, &options, cache_ptr, enqueue_ns, budget, &failed_so_far] {
-        run_net_slot(net, slot, options, cache_ptr, budget, failed_so_far, enqueue_ns);
-      });
+      pool.submit([&run, &net, &slot, enqueue_ns] { run.run_slot(net, slot, enqueue_ns); });
     }
     pool.wait_idle();
   }
@@ -400,34 +456,11 @@ BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& opti
   const PhaseTimer merge;
   {
     const obs::Span span("engine.batch.merge", "engine");
-    out.stats.tasks_run = ec.tasks_run.value() - base_tasks;
-    out.stats.contexts_built = ec.contexts_built.value() - base_built;
-    out.stats.context_reuses = ec.context_reuses.value() - base_reused;
-    out.stats.cache_hits = ec.cache_hits.value() - base_hits;
-    // Deterministic robustness tallies straight from the merged results
-    // (the global counters feed --metrics-out; these feed the summary).
-    for (const NetResult& r : out.nets) {
-      if (!r.ok()) ++out.stats.failures;
-      if (r.degraded) ++out.stats.degraded;
-      if (r.retried) ++out.stats.retried;
-      if (r.timed_out) ++out.stats.timed_out;
-      if (r.code == robust::Code::kCancelled) ++out.stats.cancelled;
-    }
+    run.tally(out.nets, out.stats);
   }
   out.stats.merge = merge.elapsed();
   out.stats.total = total.elapsed();
-  if constexpr (obs::kTimingEnabled) {
-    analyze_phase_histogram().observe(out.stats.analyze.wall_s);
-    merge_phase_histogram().observe(out.stats.merge.wall_s);
-  }
-  obs::log::info("engine.batch.done",
-                 {{"nets", static_cast<std::uint64_t>(out.stats.nets)},
-                  {"failures", static_cast<std::uint64_t>(out.stats.failures)},
-                  {"cache_hits", static_cast<std::uint64_t>(out.stats.cache_hits)},
-                  {"wall_s", out.stats.total.wall_s}});
-  // Every analyzed (non-cache-hit) net either built its TreeContext or
-  // adopted one from a content-identical sibling — nothing else.
-  assert(out.stats.contexts_built + out.stats.context_reuses == out.stats.tasks_run);
+  BatchRun::done(out.stats);
   return out;
 }
 
@@ -459,29 +492,7 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
   const std::size_t n = plan.layout.sections.size();
   out.parse.sections = n;
   obs::registry().counter("parse.sections.total").add(n);
-
-  NetCache cache(16, options.cache_max_entries);
-  if (options.cache_backend != nullptr) cache.set_backend(options.cache_backend);
-  NetCache* cache_ptr = options.use_cache ? &cache : nullptr;
-
-  EngineCounters& ec = EngineCounters::get();
-  const std::uint64_t base_tasks = ec.tasks_run.value();
-  const std::uint64_t base_built = ec.contexts_built.value();
-  const std::uint64_t base_reused = ec.context_reuses.value();
-  const std::uint64_t base_hits = ec.cache_hits.value();
-
-  const std::size_t budget = options.fail_fast ? std::size_t{1} : options.max_failures;
-  std::atomic<std::size_t> failed_so_far{0};
-  const std::size_t jobs =
-      options.jobs == 0 ? 0 : std::min(options.jobs, std::max<std::size_t>(n, 1));
-
-  // Same event names as analyze_nets() — log consumers see one batch
-  // lifecycle either way; "sections"/"bytes" mark the fused file path.
-  obs::log::info("engine.batch.start",
-                 {{"sections", static_cast<std::uint64_t>(n)},
-                  {"bytes", static_cast<std::uint64_t>(text.size())},
-                  {"jobs", static_cast<std::uint64_t>(jobs)},
-                  {"use_cache", options.use_cache}});
+  BatchRun run(options, n, text.size());
 
   // One fused task per *D_NET section: parse it, then immediately analyze
   // the net it produced on the same worker — early nets are being timed
@@ -494,16 +505,15 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
   const PhaseTimer analyze;
   {
     const obs::Span span("engine.batch.analyze", "engine");
-    ThreadPool pool(jobs);
+    ThreadPool pool(run.jobs());
     out.batch.stats.threads = pool.thread_count();
     out.parse.threads = pool.thread_count();
     pool.parallel_for(n, [&](std::size_t i) {
       sections[i] = detail::parse_section_task(text, plan, i, spef_opts);
       if (!sections[i].error && !sections[i].nets.empty()) {
-        ec.nets_total.add();
+        EngineCounters::get().nets_total.add();
         has_net[i] = 1;
-        run_net_slot(sections[i].nets.front(), slots[i], options, cache_ptr, budget,
-                     failed_so_far, obs::timestamp_ns());
+        run.run_slot(sections[i].nets.front(), slots[i], obs::timestamp_ns());
       }
     });
   }
@@ -527,26 +537,12 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
     for (std::size_t i = 0; i < n; ++i)
       if (has_net[i]) out.batch.nets.push_back(std::move(slots[i]));
     out.batch.stats.nets = out.batch.nets.size();
-    out.batch.stats.tasks_run = ec.tasks_run.value() - base_tasks;
-    out.batch.stats.contexts_built = ec.contexts_built.value() - base_built;
-    out.batch.stats.context_reuses = ec.context_reuses.value() - base_reused;
-    out.batch.stats.cache_hits = ec.cache_hits.value() - base_hits;
-    for (const NetResult& r : out.batch.nets) {
-      if (!r.ok()) ++out.batch.stats.failures;
-      if (r.degraded) ++out.batch.stats.degraded;
-      if (r.retried) ++out.batch.stats.retried;
-      if (r.timed_out) ++out.batch.stats.timed_out;
-      if (r.code == robust::Code::kCancelled) ++out.batch.stats.cancelled;
-    }
+    run.tally(out.batch.nets, out.batch.stats);
   }
   out.batch.stats.merge = merge.elapsed();
   out.batch.stats.total = total.elapsed();
   out.parse.total_seconds = out.batch.stats.total.wall_s;
-  obs::log::info("engine.batch.done",
-                 {{"nets", static_cast<std::uint64_t>(out.batch.stats.nets)},
-                  {"failures", static_cast<std::uint64_t>(out.batch.stats.failures)},
-                  {"cache_hits", static_cast<std::uint64_t>(out.batch.stats.cache_hits)},
-                  {"wall_s", out.batch.stats.total.wall_s}});
+  BatchRun::done(out.batch.stats);
   return out;
 }
 

@@ -4,8 +4,8 @@
 // Real extracted designs carry thousands of independent nets; bound reports
 // for them are embarrassingly parallel.  analyze_batch()/analyze_nets() fan
 // the nets of a SpefFile out across a ThreadPool — one task per net, each
-// producing the existing core::build_report rows — consult a
-// content-addressed NetCache so repeated nets (clock meshes, stamped
+// running analyze_net(), the per-net pipeline `rct serve` shares — consult
+// a content-addressed NetCache so repeated nets (clock meshes, stamped
 // macros) skip recomputation, and merge results deterministically in input
 // order: the output is bit-identical for any thread count.
 //
@@ -24,13 +24,13 @@
 #include <vector>
 
 #include "core/report.hpp"
+#include "engine/net_cache.hpp"
 #include "engine/parallel_parse.hpp"
 #include "rctree/spef.hpp"
+#include "robust/deadline.hpp"
 #include "robust/error.hpp"
 
 namespace rct::engine {
-
-class CacheBackend;  // net_cache.hpp
 
 /// Knobs for one batch run.
 struct BatchOptions {
@@ -86,10 +86,53 @@ struct NetResult {
   /// Any row degraded (exact result discarded, see core::NodeReport), or
   /// the whole net fell back to the moments retry.
   bool degraded = false;
-  bool from_cache = false;
+  /// Which cache level served the rows; kMiss when they were computed.
+  CacheSource source = CacheSource::kMiss;
 
   [[nodiscard]] bool ok() const { return error.empty(); }
+  [[nodiscard]] bool from_cache() const { return source != CacheSource::kMiss; }
 };
+
+/// Who owns the tree behind a TreeContext that analyze_net() builds and
+/// caches.
+enum class TreeOwnership {
+  kBorrow,  ///< the net outlives the cache (one batch run): no copy
+  kCopy,    ///< the cache outlives the net (the server evicts designs)
+};
+
+/// Optional observer of one analyze_net() call.  The server implements it
+/// to tape its per-request trace phases and to let a drain cancel the
+/// attempt in flight; the batch passes nullptr and pays one branch per
+/// call site.
+class NetHooks {
+ public:
+  /// The traced steps of an attempt on the cached path, in order.
+  enum class Step { kCacheLookup, kContextBuild, kReportBuild };
+  virtual void step_begin(Step step) = 0;
+  virtual void step_end(Step step) = 0;
+  /// `deadline` governs the attempt starting now and stays valid until the
+  /// matching attempt_end().  Cancelling it ends the attempt with
+  /// kCancelled, which is never retried.
+  virtual void attempt_begin(const robust::Deadline& deadline) = 0;
+  virtual void attempt_end(const robust::Deadline& deadline) = 0;
+
+ protected:
+  ~NetHooks() = default;
+};
+
+/// The per-net pipeline behind `rct batch`, `rct spef` and `rct serve`:
+/// fault sites, the empty-tree check, cache lookup, a content-keyed shared
+/// TreeContext, core::build_report, name rebinding and cache insert — then,
+/// when the attempt failed for any reason but a parse/topology defect or a
+/// cancellation, one retry on the moments path (with_exact = false).  Each
+/// attempt gets a fresh deadline of options.net_timeout_ms.  Reads
+/// options.report, net_timeout_ms and retry_on_failure; the run-level
+/// fields (jobs, cache, budget) belong to the callers.  Never throws.
+/// `cache` may be nullptr (compute every time); `tree` states whether a
+/// context cached for this net may borrow the net's tree.
+[[nodiscard]] NetResult analyze_net(const SpefNet& net, const BatchOptions& options,
+                                    NetCache* cache, TreeOwnership tree,
+                                    NetHooks* hooks = nullptr);
 
 /// Wall and process-CPU time of one engine phase, seconds.
 struct PhaseTime {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <utility>
 
+#include "obs/encode.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
@@ -39,17 +40,6 @@ obs::Counter& cache_store_hit_counter() {
 obs::Counter& context_hit_counter() {
   static obs::Counter& c = obs::registry().counter("engine.cache.context_hits");
   return c;
-}
-
-std::uint64_t fnv1a(const std::vector<std::uint64_t>& words) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const std::uint64_t w : words) {
-    for (std::size_t byte = 0; byte < 8; ++byte) {
-      h ^= (w >> (8 * byte)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
 }
 
 void append_content_words(NetKey& key, const RCTree& tree) {
@@ -93,7 +83,7 @@ NetKey NetKey::of(const RCTree& tree, const core::ReportOptions& options) {
   key.words.push_back((exact ? 1ULL : 0ULL) | (options.leaves_only ? 2ULL : 0ULL));
   key.words.push_back(std::bit_cast<std::uint64_t>(options.fraction));
   append_content_words(key, tree);
-  key.hash = fnv1a(key.words);
+  key.hash = obs::fnv1a_words(key.words);
   return key;
 }
 
@@ -102,7 +92,7 @@ NetKey NetKey::content_of(const RCTree& tree) {
   key.words.reserve(1 + 3 * tree.size());
   key.words.push_back(tree.size());
   append_content_words(key, tree);
-  key.hash = fnv1a(key.words);
+  key.hash = obs::fnv1a_words(key.words);
   return key;
 }
 

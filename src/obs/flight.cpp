@@ -7,6 +7,8 @@
 #include <fstream>
 #include <unistd.h>
 
+#include "obs/encode.hpp"
+
 namespace rct::obs::flight {
 namespace {
 
@@ -17,27 +19,6 @@ std::uint64_t steady_now_ns() {
 }
 
 std::atomic<std::uint64_t> next_recorder_id{1};
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 void copy_net_name(char (&dst)[Event::kNetCapacity], std::string_view net) {
   const std::size_t n = std::min(net.size(), Event::kNetCapacity - 1);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "obs/encode.hpp"
 #include "obs/metrics.hpp"
 
 namespace rct::obs::log {
@@ -19,27 +20,6 @@ std::uint64_t wall_now_us() {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
                                         std::chrono::system_clock::now().time_since_epoch())
                                         .count());
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 void append_field_value(std::string& out, const Field& field) {

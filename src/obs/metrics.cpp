@@ -8,12 +8,14 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/encode.hpp"
+
 namespace rct::obs {
 namespace {
 
 /// JSON number formatter shared by the snapshot writer: shortest round-trip
 /// form would be ideal, but %.17g is stable and always parses back exactly.
-void append_json_double(std::string& out, double v) {
+void append_json_number(std::string& out, double v) {
   if (!std::isfinite(v)) {  // JSON has no inf/nan; snapshots use null
     out += "null";
     return;
@@ -21,27 +23,6 @@ void append_json_double(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 /// Relaxed CAS add for atomic<double> (fetch_add on floating atomics is
@@ -241,7 +222,7 @@ std::string MetricsRegistry::to_json() const {
     first = false;
     append_json_string(out, name);
     out += ':';
-    append_json_double(out, g->value());
+    append_json_number(out, g->value());
   }
   out += "},\"histograms\":{";
   first = true;
@@ -255,24 +236,24 @@ std::string MetricsRegistry::to_json() const {
       if (i > 0) out += ',';
       out += "{\"le\":";
       if (i < bounds.size())
-        append_json_double(out, bounds[i]);
+        append_json_number(out, bounds[i]);
       else
         out += "\"inf\"";
       out += ",\"count\":" + std::to_string(h->bucket_count(i)) + '}';
     }
     out += "],\"count\":" + std::to_string(h->count());
     out += ",\"sum\":";
-    append_json_double(out, h->sum());
+    append_json_number(out, h->sum());
     out += ",\"min\":";
-    append_json_double(out, h->min());
+    append_json_number(out, h->min());
     out += ",\"max\":";
-    append_json_double(out, h->max());
+    append_json_number(out, h->max());
     out += ",\"p50\":";
-    append_json_double(out, h->quantile(0.50));
+    append_json_number(out, h->quantile(0.50));
     out += ",\"p95\":";
-    append_json_double(out, h->quantile(0.95));
+    append_json_number(out, h->quantile(0.95));
     out += ",\"p99\":";
-    append_json_double(out, h->quantile(0.99));
+    append_json_number(out, h->quantile(0.99));
     out += '}';
   }
   out += "}}";

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/encode.hpp"
+
 namespace rct::obs {
 namespace {
 
@@ -15,27 +17,6 @@ std::uint64_t steady_now_ns() {
 }
 
 std::atomic<std::uint64_t> next_collector_id{1};
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 /// Microseconds with nanosecond precision, fixed format (trace viewers do
 /// not accept exponents in ts/dur).

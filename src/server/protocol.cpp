@@ -4,160 +4,141 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/encode.hpp"
+
 namespace rct::server {
-namespace {
 
-/// Minimal recursive-descent scanner over one flat JSON object.  Supports
-/// exactly what the protocol needs — string, number, true/false/null
-/// values, no nesting — and reports the first problem it sees instead of
-/// throwing.  Nested containers are skipped structurally so future
-/// protocol revisions can add them without breaking old servers.
-class FlatJsonScanner {
- public:
-  explicit FlatJsonScanner(std::string_view text) : text_(text) {}
+using obs::append_json_double;
+using obs::append_json_string;
 
-  [[nodiscard]] bool fail(std::string message) {
-    if (error_.empty()) error_ = std::move(message);
-    return false;
-  }
-  [[nodiscard]] const std::string& error() const { return error_; }
+bool FlatJsonScanner::fail(std::string message) {
+  if (error_.empty()) error_ = std::move(message);
+  return false;
+}
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
-      ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+void FlatJsonScanner::skip_ws() {
+  while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
     ++pos_;
-    return true;
-  }
+}
 
-  [[nodiscard]] bool peek(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
+bool FlatJsonScanner::consume(char c) {
+  skip_ws();
+  if (pos_ >= text_.size() || text_[pos_] != c) return false;
+  ++pos_;
+  return true;
+}
 
-  [[nodiscard]] bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
+bool FlatJsonScanner::peek(char c) {
+  skip_ws();
+  return pos_ < text_.size() && text_[pos_] == c;
+}
 
-  /// Parses a JSON string literal (opening quote already *not* consumed).
-  [[nodiscard]] bool parse_string(std::string& out) {
-    if (!consume('"')) return fail("expected string");
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          // Decode \uXXXX; the protocol only ever emits ASCII control
-          // escapes, so non-ASCII code points are folded to '?' rather
-          // than carrying a full UTF-8 encoder.
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9')
-              value |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return fail("bad \\u escape");
-          }
-          out.push_back(value < 0x80 ? static_cast<char>(value) : '?');
-          break;
+bool FlatJsonScanner::at_end() {
+  skip_ws();
+  return pos_ >= text_.size();
+}
+
+bool FlatJsonScanner::parse_string(std::string& out) {
+  if (!consume('"')) return fail("expected string");
+  out.clear();
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_++];
+    if (c == '"') return true;
+    if (c != '\\') {
+      out.push_back(c);
+      continue;
+    }
+    if (pos_ >= text_.size()) break;
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case '"': out.push_back('"'); break;
+      case '\\': out.push_back('\\'); break;
+      case '/': out.push_back('/'); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'n': out.push_back('\n'); break;
+      case 'r': out.push_back('\r'); break;
+      case 't': out.push_back('\t'); break;
+      case 'u': {
+        // Decode \uXXXX; the protocol only ever emits ASCII control
+        // escapes, so non-ASCII code points are folded to '?' rather
+        // than carrying a full UTF-8 encoder.
+        if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
+        unsigned value = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          value <<= 4;
+          if (h >= '0' && h <= '9')
+            value |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f')
+            value |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F')
+            value |= static_cast<unsigned>(h - 'A' + 10);
+          else
+            return fail("bad \\u escape");
         }
-        default: return fail("unknown escape");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  /// Parses one scalar value as raw text; `kind` tells the caller how to
-  /// interpret it ('s' string, 'n' number, 'b' bool, '0' null).
-  [[nodiscard]] bool parse_value(std::string& raw, char& kind) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("expected value");
-    const char c = text_[pos_];
-    if (c == '"') {
-      kind = 's';
-      return parse_string(raw);
-    }
-    if (c == '{' || c == '[') return skip_container(raw, kind);
-    raw.clear();
-    while (pos_ < text_.size()) {
-      const char v = text_[pos_];
-      if (v == ',' || v == '}' || v == ']' ||
-          std::isspace(static_cast<unsigned char>(v)) != 0)
+        out.push_back(value < 0x80 ? static_cast<char>(value) : '?');
         break;
-      raw.push_back(v);
-      ++pos_;
+      }
+      default: return fail("unknown escape");
     }
-    if (raw == "true" || raw == "false") {
-      kind = 'b';
-      return true;
-    }
-    if (raw == "null") {
-      kind = '0';
-      return true;
-    }
-    if (raw.empty()) return fail("expected value");
-    kind = 'n';
+  }
+  return fail("unterminated string");
+}
+
+bool FlatJsonScanner::parse_value(std::string& raw, char& kind) {
+  skip_ws();
+  if (pos_ >= text_.size()) return fail("expected value");
+  const char c = text_[pos_];
+  if (c == '"') {
+    kind = 's';
+    return parse_string(raw);
+  }
+  if (c == '{' || c == '[') return skip_container(raw, kind);
+  raw.clear();
+  while (pos_ < text_.size()) {
+    const char v = text_[pos_];
+    if (v == ',' || v == '}' || v == ']' || std::isspace(static_cast<unsigned char>(v)) != 0)
+      break;
+    raw.push_back(v);
+    ++pos_;
+  }
+  if (raw == "true" || raw == "false") {
+    kind = 'b';
     return true;
   }
-
- private:
-  /// Skips a nested object/array (unknown keys from newer clients); the
-  /// protocol's own fields are always scalars.
-  [[nodiscard]] bool skip_container(std::string& raw, char& kind) {
-    raw.clear();
-    kind = 'c';
-    int depth = 0;
-    bool in_string = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (in_string) {
-        if (c == '\\' && pos_ < text_.size())
-          ++pos_;
-        else if (c == '"')
-          in_string = false;
-        continue;
-      }
-      if (c == '"') in_string = true;
-      if (c == '{' || c == '[') ++depth;
-      if (c == '}' || c == ']') {
-        --depth;
-        if (depth == 0) return true;
-      }
-    }
-    return fail("unterminated container");
+  if (raw == "null") {
+    kind = '0';
+    return true;
   }
+  if (raw.empty()) return fail("expected value");
+  kind = 'n';
+  return true;
+}
 
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
+bool FlatJsonScanner::skip_container(std::string& raw, char& kind) {
+  raw.clear();
+  kind = 'c';
+  int depth = 0;
+  bool in_string = false;
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_++];
+    if (in_string) {
+      if (c == '\\' && pos_ < text_.size())
+        ++pos_;
+      else if (c == '"')
+        in_string = false;
+      continue;
+    }
+    if (c == '"') in_string = true;
+    if (c == '{' || c == '[') ++depth;
+    if (c == '}' || c == ']') {
+      --depth;
+      if (depth == 0) return true;
+    }
+  }
+  return fail("unterminated container");
+}
 
 bool parse_u64(const std::string& raw, std::uint64_t& out) {
   if (raw.empty()) return false;
@@ -167,6 +148,8 @@ bool parse_u64(const std::string& raw, std::uint64_t& out) {
   out = static_cast<std::uint64_t>(v);
   return true;
 }
+
+namespace {
 
 bool parse_f64(const std::string& raw, double& out) {
   if (raw.empty()) return false;
@@ -178,34 +161,6 @@ bool parse_f64(const std::string& raw, double& out) {
 }
 
 }  // namespace
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void append_json_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12e", v);
-  out += buf;
-}
 
 ParsedRequest parse_request(std::string_view line) {
   ParsedRequest result;

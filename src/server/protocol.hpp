@@ -50,6 +50,45 @@ struct Request {
   std::string span;   ///< client span id within the trace ("" = none)
 };
 
+/// Minimal recursive-descent scanner over flat JSON: string, number,
+/// true/false/null values; nested containers are skipped structurally so
+/// future protocol revisions can add them without breaking old servers.
+/// Reports the first problem it sees (error()) instead of throwing.  The
+/// request parser and the `trace` span reader both read through it.
+class FlatJsonScanner {
+ public:
+  explicit FlatJsonScanner(std::string_view text) : text_(text) {}
+
+  /// Records `message` (the first failure wins) and returns false.
+  [[nodiscard]] bool fail(std::string message);
+  [[nodiscard]] const std::string& error() const { return error_; }
+
+  void skip_ws();
+  /// Consumes `c` after optional whitespace; false (nothing consumed) otherwise.
+  [[nodiscard]] bool consume(char c);
+  [[nodiscard]] bool peek(char c);
+  [[nodiscard]] bool at_end();
+
+  /// Parses a JSON string literal (the opening quote is consumed here).
+  /// \uXXXX escapes decode to their byte below 0x80 and to '?' above.
+  [[nodiscard]] bool parse_string(std::string& out);
+
+  /// Parses one value as raw text; `kind` tells the caller how to
+  /// interpret it ('s' string, 'n' number, 'b' bool, '0' null, 'c' a
+  /// skipped container, raw left empty).
+  [[nodiscard]] bool parse_value(std::string& raw, char& kind);
+
+ private:
+  [[nodiscard]] bool skip_container(std::string& raw, char& kind);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::string error_;
+};
+
+/// Decimal u64 of a whole raw number token; false on anything else.
+[[nodiscard]] bool parse_u64(const std::string& raw, std::uint64_t& out);
+
 /// Outcome of parsing one request line.
 struct ParsedRequest {
   bool ok = false;
@@ -65,12 +104,6 @@ struct ParsedRequest {
 /// fixed point.  This is the one encoder the client subcommand, its batch
 /// mode, the tests and bench/perf_serve all share.
 [[nodiscard]] std::string encode_request(const Request& request);
-
-/// Appends `s` as a JSON string literal (quoted, escaped).
-void append_json_string(std::string& out, std::string_view s);
-
-/// Appends a double in the deterministic %.12e form the batch JSON uses.
-void append_json_double(std::string& out, double v);
 
 /// One-line failure response: {"id":N,"ok":false,"error":...,"code":...}.
 [[nodiscard]] std::string error_response(std::uint64_t id, std::string_view code,

@@ -3,15 +3,16 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <random>
 
+#include "obs/encode.hpp"
 #include "server/protocol.hpp"
 
 namespace rct::server {
+
+using obs::append_json_string;
 
 void RequestTraceStore::record(std::string_view trace_id, TraceSpan span) {
   if (trace_id.empty() || capacity_ == 0) return;
@@ -63,104 +64,41 @@ void append_trace_spans_json(std::string& out, const std::vector<TraceSpan>& spa
   out.push_back(']');
 }
 
-namespace {
-
-/// Cursor over the span array text; just enough JSON to read back what
-/// append_trace_spans_json wrote (tolerating unknown scalar keys).
-struct SpanCursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos])) != 0) ++pos;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos < text.size()) {
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos >= text.size()) return false;
-      const char esc = text[pos++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        default: out.push_back('?'); break;
-      }
-    }
-    return false;
-  }
-  bool parse_number(std::uint64_t& out) {
-    skip_ws();
-    const std::size_t start = pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 || text[pos] == '-' ||
-            text[pos] == '+' || text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E'))
-      ++pos;
-    if (pos == start) return false;
-    out = std::strtoull(std::string(text.substr(start, pos - start)).c_str(), nullptr, 10);
-    return true;
-  }
-};
-
-}  // namespace
-
 bool parse_trace_spans(std::string_view response_line, std::vector<TraceSpan>& out) {
   out.clear();
   const std::size_t at = response_line.find("\"spans\":[");
   if (at == std::string_view::npos) return false;
-  SpanCursor cur{response_line.substr(at + 8), 0};
-  if (!cur.consume('[')) return false;
+  FlatJsonScanner scanner(response_line.substr(at + 8));
+  if (!scanner.consume('[')) return false;
   bool first = true;
-  while (!cur.peek(']')) {
-    if (!first && !cur.consume(',')) return false;
+  while (!scanner.peek(']')) {
+    if (!first && !scanner.consume(',')) return false;
     first = false;
-    if (!cur.consume('{')) return false;
+    if (!scanner.consume('{')) return false;
     TraceSpan span;
     bool first_field = true;
-    while (!cur.peek('}')) {
-      if (!first_field && !cur.consume(',')) return false;
+    while (!scanner.peek('}')) {
+      if (!first_field && !scanner.consume(',')) return false;
       first_field = false;
       std::string key;
-      if (!cur.parse_string(key) || !cur.consume(':')) return false;
-      if (key == "name") {
-        if (!cur.parse_string(span.name)) return false;
-      } else if (key == "detail") {
-        if (!cur.parse_string(span.detail)) return false;
-      } else if (key == "ts_ns") {
-        if (!cur.parse_number(span.ts_ns)) return false;
-      } else if (key == "dur_ns") {
-        if (!cur.parse_number(span.dur_ns)) return false;
-      } else if (cur.peek('"')) {
-        std::string ignored;
-        if (!cur.parse_string(ignored)) return false;
-      } else {
-        std::uint64_t ignored = 0;
-        if (!cur.parse_number(ignored)) return false;
+      std::string raw;
+      char kind = 0;
+      if (!scanner.parse_string(key) || !scanner.consume(':') ||
+          !scanner.parse_value(raw, kind))
+        return false;
+      // Unknown keys (any value kind) are skipped.
+      if (key == "name" || key == "detail") {
+        if (kind != 's') return false;
+        (key == "name" ? span.name : span.detail) = std::move(raw);
+      } else if (key == "ts_ns" || key == "dur_ns") {
+        if (kind != 'n' || !parse_u64(raw, key == "ts_ns" ? span.ts_ns : span.dur_ns))
+          return false;
       }
     }
-    if (!cur.consume('}')) return false;
+    if (!scanner.consume('}')) return false;
     out.push_back(std::move(span));
   }
-  return cur.consume(']');
+  return scanner.consume(']');
 }
 
 void rebase_spans(std::vector<TraceSpan>& server_spans, std::uint64_t send_ns,

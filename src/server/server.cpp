@@ -18,7 +18,9 @@
 #include <sstream>
 #include <utility>
 
+#include "engine/batch.hpp"
 #include "engine/parallel_parse.hpp"
+#include "obs/encode.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -29,6 +31,10 @@
 #include "server/version.hpp"
 
 namespace rct::server {
+
+using obs::append_json_double;
+using obs::append_json_string;
+
 namespace {
 
 obs::Counter& request_counter() {
@@ -155,22 +161,13 @@ bool is_all_digits(const std::string& s) {
                      [](unsigned char c) { return std::isdigit(c) != 0; });
 }
 
-std::uint64_t fnv1a_text(std::string_view text) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// 12-hex content handle of a design (FNV-1a of the raw file bytes,
 /// truncated — short enough to type, long enough that two designs loaded
 /// into one server never collide in practice).
 std::string design_handle(std::string_view file_bytes) {
   char buf[13];
   std::snprintf(buf, sizeof(buf), "%012llx",
-                static_cast<unsigned long long>(fnv1a_text(file_bytes) & 0xffffffffffffULL));
+                static_cast<unsigned long long>(obs::fnv1a(file_bytes) & 0xffffffffffffULL));
   return buf;
 }
 
@@ -240,7 +237,53 @@ std::int64_t steady_now_ns() {
       .count();
 }
 
+/// A net failure analyze_net() already recorded, rethrown so handle_line()
+/// answers with the recorded code and the original exception text as the
+/// message, byte for byte.
+class RecordedFailure : public robust::Error {
+ public:
+  RecordedFailure(robust::Code code, const std::string& what) : robust::Error(code, what) {
+    static_cast<std::runtime_error&>(*this) = std::runtime_error(what);
+  }
+};
+
 }  // namespace
+
+/// The server's view of engine::analyze_net(): tapes the cache/context/
+/// report steps as the request's trace phases and registers each attempt's
+/// deadline, so a drain past its budget cancels the analysis in flight —
+/// the moments retry included.
+class Server::ReportHooks final : public engine::NetHooks {
+ public:
+  ReportHooks(Server& server, RequestTraceStore* sink, const Request& request)
+      : server_(server), sink_(sink), request_(request) {}
+
+  void step_begin(Step step) override {
+    phase_.emplace(sink_, &request_.trace, phase_name(step), request_.net);
+  }
+  void step_end(Step /*step*/) override { phase_.reset(); }
+  void attempt_begin(const robust::Deadline& deadline) override {
+    server_.register_inflight(&deadline);
+  }
+  void attempt_end(const robust::Deadline& deadline) override {
+    server_.unregister_inflight(&deadline);
+  }
+
+ private:
+  static const char* phase_name(Step step) {
+    switch (step) {
+      case Step::kCacheLookup: return "server.cache.lookup";
+      case Step::kContextBuild: return "server.context.build";
+      case Step::kReportBuild: return "server.report.build";
+    }
+    return "server.report.build";
+  }
+
+  Server& server_;
+  RequestTraceStore* sink_;
+  const Request& request_;
+  std::optional<TracePhase> phase_;
+};
 
 std::string_view server_state_name(ServerState state) {
   switch (state) {
@@ -433,6 +476,9 @@ void Server::stop() {
 
 void Server::register_inflight(const robust::Deadline* deadline) {
   std::lock_guard<std::mutex> lock(inflight_mutex_);
+  // Work that starts after the cancel (a moments retry, say) is born
+  // cancelled instead of escaping the drain.
+  if (cancelled_all_) deadline->cancel();
   inflight_.push_back(deadline);
 }
 
@@ -443,6 +489,7 @@ void Server::unregister_inflight(const robust::Deadline* deadline) {
 
 void Server::cancel_inflight() {
   std::lock_guard<std::mutex> lock(inflight_mutex_);
+  cancelled_all_ = true;
   for (const robust::Deadline* deadline : inflight_) deadline->cancel();
 }
 
@@ -870,7 +917,11 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
                         "unknown net '" + request.net + "' in design " + design->handle);
   const SpefNet& net = design->file.nets[net_it->second];
 
-  core::ReportOptions report = options_.report;
+  // The per-net knobs analyze_net() reads; the request timeout is each
+  // attempt's budget, like `rct batch --net-timeout-ms`.
+  engine::BatchOptions policy;
+  core::ReportOptions& report = policy.report;
+  report = options_.report;
   if (request.has_with_exact) report.with_exact = request.with_exact;
   if (request.leaves_only) report.leaves_only = true;
   if (bounds_only) {
@@ -879,7 +930,7 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
   }
   if (request.exact_limit != 0) report.exact_node_limit = request.exact_limit;
   if (request.fraction > 0.0) report.fraction = request.fraction;
-  const std::uint64_t timeout_ms =
+  policy.net_timeout_ms =
       request.timeout_ms != 0 ? request.timeout_ms : options_.request_timeout_ms;
 
   // The gap between submit and the task body running is pool queue wait —
@@ -887,7 +938,7 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
   RequestTraceStore* const sink = !request.trace.empty() ? &traces_ : nullptr;
   const std::uint64_t submit_ns = sink != nullptr ? obs::tracer().now_ns() : 0;
 
-  return run_on_pool([this, design, &net, &request, report, timeout_ms, bounds_only, sink,
+  return run_on_pool([this, design, &net, &request, &policy, bounds_only, sink,
                       submit_ns]() -> std::string {
     if (sink != nullptr) {
       const std::uint64_t now_ns = obs::tracer().now_ns();
@@ -896,54 +947,29 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
       sink->record(request.trace, TraceSpan{"server.queue_wait", {}, submit_ns,
                                             now_ns - submit_ns});
     }
-    const robust::Deadline deadline = robust::Deadline::after_ms(timeout_ms);
-    core::ReportOptions effective = report;
-    // Always pass the deadline, armed or not: an unarmed Deadline is still
-    // cancellable, which is how a drain past its budget cuts this request
-    // loose at the next checkpoint.
-    effective.deadline = &deadline;
-    struct InflightGuard {
-      Server* server;
-      const robust::Deadline* deadline;
-      InflightGuard(Server* s, const robust::Deadline* d) : server(s), deadline(d) {
-        server->register_inflight(deadline);
-      }
-      ~InflightGuard() { server->unregister_inflight(deadline); }
-    } inflight_guard(this, &deadline);
-    robust::fault::maybe_sleep("server.report");
-    robust::fault::maybe_throw("server.report");
-    deadline.check("server.report");
-
-    const engine::NetKey key = engine::NetKey::of(net.tree, effective);
-    engine::CacheSource source = engine::CacheSource::kMiss;
-    std::optional<std::vector<core::NodeReport>> rows;
     {
-      const TracePhase phase(sink, &request.trace, "server.cache.lookup", request.net);
-      rows = cache_.lookup(key, net.tree, &source);
-    }
-    if (!rows.has_value()) {
-      const engine::NetKey content_key = engine::NetKey::content_of(net.tree);
-      std::shared_ptr<const analysis::TreeContext> context;
-      {
-        const TracePhase phase(sink, &request.trace, "server.context.build", request.net);
-        context = cache_.lookup_context(content_key);
-        if (context == nullptr) {
-          // The cached context owns a copy of the tree: evicting the design
-          // later cannot dangle it.
-          auto owned = std::make_shared<const RCTree>(net.tree);
-          context = cache_.insert_context(
-              content_key, std::make_shared<const analysis::TreeContext>(std::move(owned)));
+      // The pre-analysis checkpoint: an unarmed Deadline is still
+      // cancellable, which is how a drain past its budget cuts a request
+      // loose before its analysis starts.
+      const robust::Deadline deadline = robust::Deadline::after_ms(policy.net_timeout_ms);
+      struct InflightGuard {
+        Server* server;
+        const robust::Deadline* deadline;
+        InflightGuard(Server* s, const robust::Deadline* d) : server(s), deadline(d) {
+          server->register_inflight(deadline);
         }
-      }
-      {
-        const TracePhase phase(sink, &request.trace, "server.report.build", request.net);
-        rows = core::build_report(*context, effective);
-        // The context may have been donated by a content-identical net with
-        // different node names; bind the rows to the requested net.
-        engine::rebind_report_names(*rows, net.tree);
-        cache_.insert(key, *rows);
-      }
+        ~InflightGuard() { server->unregister_inflight(deadline); }
+      } inflight_guard(this, &deadline);
+      robust::fault::maybe_sleep("server.report");
+      robust::fault::maybe_throw("server.report");
+      deadline.check("server.report");
     }
+    // The cached context owns a copy of the tree: evicting the design
+    // later cannot dangle it.
+    ReportHooks hooks(*this, sink, request);
+    const engine::NetResult result =
+        engine::analyze_net(net, policy, &cache_, engine::TreeOwnership::kCopy, &hooks);
+    if (!result.ok()) throw RecordedFailure(result.code, result.error);
 
     const TracePhase render_phase(sink, &request.trace, "server.render", request.net);
     std::string out = "{\"id\":" + std::to_string(request.id) + ",\"ok\":true,\"design\":";
@@ -951,11 +977,13 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
     out += ",\"net\":";
     append_json_string(out, request.net);
     out += ",\"source\":\"";
-    out += source_name(source);
-    out += "\",\"rows\":[";
-    for (std::size_t i = 0; i < rows->size(); ++i) {
+    out += source_name(result.source);
+    out += '"';
+    if (result.retried) out += ",\"retried\":true";
+    out += ",\"rows\":[";
+    for (std::size_t i = 0; i < result.rows.size(); ++i) {
       if (i > 0) out.push_back(',');
-      append_row_json(out, (*rows)[i], bounds_only);
+      append_row_json(out, result.rows[i], bounds_only);
     }
     out += "]}";
     return out;

@@ -257,6 +257,8 @@ class Server {
   /// Records one shed (counter + the degraded-state freshness clock).
   void note_shed();
 
+  class ReportHooks;  // engine::NetHooks for cmd_report
+
   /// In-flight deadline registry: pooled request bodies register their
   /// Deadline so a drain past its budget can cancel them cooperatively.
   void register_inflight(const robust::Deadline* deadline);
@@ -308,6 +310,7 @@ class Server {
 
   std::mutex inflight_mutex_;
   std::vector<const robust::Deadline*> inflight_;
+  bool cancelled_all_ = false;  ///< guarded by inflight_mutex_; cancel_inflight() ran
 };
 
 }  // namespace rct::server

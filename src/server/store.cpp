@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/encode.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "robust/fault.hpp"
@@ -88,15 +89,6 @@ std::uint64_t get_u64(const unsigned char* p) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return v;
-}
-
-std::uint64_t fnv1a_bytes(const unsigned char* data, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 std::string hash_hex(std::uint64_t hash) {
@@ -228,7 +220,8 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
   // Checksum covers everything before the trailing 8 bytes.
   if (file.size < 24 + 8) return corrupt("truncated checksum");
   const std::size_t body = file.size - 8;
-  if (get_u64(p + body) != fnv1a_bytes(p, body)) return corrupt("checksum mismatch");
+  if (get_u64(p + body) != obs::fnv1a(std::string_view(reinterpret_cast<const char*>(p), body)))
+    return corrupt("checksum mismatch");
   const std::uint64_t stored_hash = get_u64(p + 8);
   const std::uint64_t n_words = get_u64(p + 16);
   if (n_words > (body - 24) / 8) return corrupt("key overruns file");
@@ -282,7 +275,7 @@ void DiskStore::save(const engine::NetKey& key, const std::vector<core::NodeRepo
   const std::string payload = core::serialize_report(rows);
   put_u64(blob, payload.size());
   blob += payload;
-  put_u64(blob, fnv1a_bytes(reinterpret_cast<const unsigned char*>(blob.data()), blob.size()));
+  put_u64(blob, obs::fnv1a(blob));
 
   // Unique temp name per process + call so concurrent writers (threads or
   // separate server instances sharing the store) never clobber each

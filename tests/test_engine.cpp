@@ -310,7 +310,7 @@ TEST(Batch, CacheHitsOnDuplicatedNets) {
   // Exactly one stamp was computed; which one depends on pool scheduling.
   std::size_t computed = 0;
   for (int i = 0; i < 10; ++i) {
-    if (!r.nets[i].from_cache) ++computed;
+    if (!r.nets[i].from_cache()) ++computed;
     expect_rows_identical(r.nets[0].rows, r.nets[i].rows, /*compare_names=*/false);
   }
   EXPECT_EQ(computed, 1u);
@@ -326,9 +326,9 @@ TEST(Batch, CachedRowsCarryPerNetNames) {
   const BatchResult r = analyze_nets(nets, opt);
   // One of the two stamps was served from cache; its rows must still carry
   // its own node names, not the names of the net that populated the cache.
-  ASSERT_NE(r.nets[0].from_cache, r.nets[1].from_cache);
-  const NetResult& cached = r.nets[0].from_cache ? r.nets[0] : r.nets[1];
-  const std::string prefix = r.nets[0].from_cache ? "a_" : "b_";
+  ASSERT_NE(r.nets[0].from_cache(), r.nets[1].from_cache());
+  const NetResult& cached = r.nets[0].from_cache() ? r.nets[0] : r.nets[1];
+  const std::string prefix = r.nets[0].from_cache() ? "a_" : "b_";
   for (std::size_t i = 0; i < cached.rows.size(); ++i)
     EXPECT_EQ(cached.rows[i].name, prefix + std::to_string(i));
 }

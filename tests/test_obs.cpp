@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/encode.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -794,6 +795,55 @@ TEST(ObsFlight, FormatTextNamesFailedNets) {
   EXPECT_NE(text.find("retry"), std::string::npos);
   EXPECT_NE(text.find("failed"), std::string::npos);
   EXPECT_NE(text.find("task-failure"), std::string::npos);
+}
+
+// --- shared encoders (obs/encode) -------------------------------------------
+
+TEST(ObsEncode, JsonStringEscapesEveryControlByteQuoteAndBackslash) {
+  for (int b = 0; b < 0x20; ++b) {
+    std::string out;
+    obs::append_json_string(out, std::string(1, static_cast<char>(b)));
+    std::string expected;
+    switch (b) {
+      case '\n': expected = "\"\\n\""; break;
+      case '\r': expected = "\"\\r\""; break;
+      case '\t': expected = "\"\\t\""; break;
+      default: {
+        char buf[16];
+        std::snprintf(buf, sizeof(buf), "\"\\u%04x\"", static_cast<unsigned>(b));
+        expected = buf;
+      }
+    }
+    EXPECT_EQ(out, expected) << "byte " << b;
+  }
+  std::string out;
+  obs::append_json_string(out, "a\"b\\c");
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\"");
+  // Printable ASCII and non-ASCII bytes pass through untouched.
+  out.clear();
+  obs::append_json_string(out, "x /\x7f\xc3\xa9");
+  EXPECT_EQ(out, "\"x /\x7f\xc3\xa9\"");
+}
+
+TEST(ObsEncode, JsonDoubleIsFixedScientific) {
+  std::string out;
+  obs::append_json_double(out, 1.5e-11);
+  out += ',';
+  obs::append_json_double(out, 0.0);
+  EXPECT_EQ(out, "1.500000000000e-11,0.000000000000e+00");
+}
+
+TEST(ObsEncode, Fnv1aReferenceVectors) {
+  EXPECT_EQ(obs::fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(obs::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(obs::fnv1a("foobar"), 0x85944171f73967e8ULL);
+  // Continuing a hash equals hashing the concatenation.
+  EXPECT_EQ(obs::fnv1a("bar", obs::fnv1a("foo")), obs::fnv1a("foobar"));
+  // Words hash as their little-endian bytes.
+  const std::uint64_t words[] = {0x0807060504030201ULL, 0x61ULL};
+  const std::string bytes("\x01\x02\x03\x04\x05\x06\x07\x08" "a\0\0\0\0\0\0\0", 16);
+  EXPECT_EQ(obs::fnv1a_words(words), obs::fnv1a(bytes));
+  EXPECT_EQ(obs::fnv1a_words({}), obs::kFnvOffsetBasis);
 }
 
 }  // namespace

@@ -24,7 +24,9 @@
 #include <vector>
 
 #include "core/report.hpp"
+#include "engine/batch.hpp"
 #include "engine/net_cache.hpp"
+#include "obs/encode.hpp"
 #include "obs/metrics.hpp"
 #include "rctree/generators.hpp"
 #include "rctree/spef.hpp"
@@ -293,6 +295,20 @@ TEST(RequestTrace, SpanJsonRoundTripAndTolerance) {
   EXPECT_FALSE(server::parse_trace_spans("{\"spans\":[{\"name\":}", empty));
 }
 
+TEST(RequestTrace, ControlByteInDetailRoundTrips) {
+  // Control bytes in a span detail travel as \u00XX escapes and must decode
+  // back to the same bytes.
+  const std::vector<server::TraceSpan> spans = {{"server.request", "a\x01" "b", 7, 3}};
+  std::string payload = "{\"ok\":true,";
+  server::append_trace_spans_json(payload, spans);
+  payload.push_back('}');
+  EXPECT_NE(payload.find("a\\u0001b"), std::string::npos) << payload;
+  std::vector<server::TraceSpan> back;
+  ASSERT_TRUE(server::parse_trace_spans(payload, back));
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].detail, "a\x01" "b");
+}
+
 TEST(RequestTrace, RebaseCentersServerRootInClientWindow) {
   // Server clock is wildly offset from the client's; the root span is 40ns
   // of handling inside a 100ns client window, so 30ns of slack lands on
@@ -387,6 +403,37 @@ TEST(ReportSerialization, RejectsTruncationAndGarbage) {
   EXPECT_FALSE(core::deserialize_report(huge).has_value());
 }
 
+TEST(ReportSerialization, MomentsOnlyRowWithOneCharNameRoundTrips) {
+  // The smallest row: a 1-character name and no exact values is 74 bytes
+  // (8 name length + 1 + 8 depth + 7x8 metrics + 1 flags).
+  core::NodeReport row;
+  row.name = "n";
+  row.depth = 1;
+  row.elmore = 2.5e-12;
+  row.sigma = 1.0e-12;
+  row.lower_bound = 1.5e-12;
+  const std::vector<core::NodeReport> rows = {row};
+  const std::string blob = core::serialize_report(rows);
+  EXPECT_EQ(blob.size(), 8u + 74u);
+  const auto back = core::deserialize_report(blob);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->size(), 1u);
+  EXPECT_EQ((*back)[0].name, "n");
+  EXPECT_EQ((*back)[0].elmore, row.elmore);
+  EXPECT_FALSE((*back)[0].exact_delay.has_value());
+
+  // The same row through the on-disk store, across a reopen.
+  const ScratchDir dir("short_row");
+  const RCTree tree = gen::random_tree(1, 5);
+  const engine::NetKey key = engine::NetKey::of(tree, core::ReportOptions{});
+  server::DiskStore(dir.path).save(key, rows);
+  server::DiskStore reopened(dir.path);
+  const auto loaded = reopened.load(key);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ((*loaded)[0].name, "n");
+}
+
 // ------------------------------------------------------------------ store
 
 TEST(DiskStore, SaveLoadRoundTripAndRestart) {
@@ -416,6 +463,34 @@ TEST(DiskStore, SaveLoadRoundTripAndRestart) {
   core::ReportOptions other;
   other.leaves_only = true;
   EXPECT_FALSE(reopened.load(engine::NetKey::of(tree, other)).has_value());
+}
+
+TEST(DiskStore, EntryPathsHashesAndDesignHandlesArePinned) {
+  // Golden values: a change to any FNV-1a input or to the hashing itself
+  // would silently turn every warm store cold and rename every design.
+  const std::string deck = std::string(RCT_TESTDATA_DIR) + "/two_nets.spef";
+  server::Server server{server::ServeOptions{}};
+  server::Request load;
+  load.id = 1;
+  load.cmd = "load";
+  load.path = deck;
+  const std::string loaded = server.handle_line(server::encode_request(load));
+  EXPECT_NE(loaded.find("\"design\":\"c9fe1c8ea586\""), std::string::npos) << loaded;
+
+  const SpefFile file = parse_spef_file(deck);
+  ASSERT_EQ(file.nets.size(), 2u);
+  const RCTree& net_a = file.nets[0].tree;
+  const engine::NetKey key = engine::NetKey::of(net_a, core::ReportOptions{});
+  EXPECT_EQ(key.hash, 0x5e5f9210ed2bd621ULL);
+  EXPECT_EQ(engine::NetKey::content_of(net_a).hash, 0x089be3fb193077c1ULL);
+  EXPECT_EQ(engine::NetKey::of(gen::random_tree(16, 11), core::ReportOptions{}).hash,
+            0x2ea1b91de1ad4e5dULL);
+
+  const ScratchDir dir("golden");
+  server::DiskStore store(dir.path);
+  store.save(key, core::build_report(net_a));
+  EXPECT_TRUE(std::filesystem::exists(dir.path + "/5e/5e5f9210ed2bd621.rct"));
+  EXPECT_EQ(store.entry_count(), 1u);
 }
 
 TEST(DiskStore, CorruptEntriesReadAsMissesWithDiagnostic) {
@@ -676,6 +751,40 @@ TEST(Server, WarmStoreSurvivesRestart) {
   for (int i = 0; i < 3; ++i) {
     const std::string response = second.handle_line(
         "{\"id\":3,\"cmd\":\"report\",\"net\":\"net_" + std::to_string(i) + "\"}");
+    ASSERT_TRUE(server::response_ok(response)) << response;
+    EXPECT_NE(response.find("\"source\":\"store\""), std::string::npos) << response;
+  }
+}
+
+TEST(Server, WarmStoreServesMomentsOnlyReportsAfterRestart) {
+  // Moments-only rows of short node names ("n1", "n2", ...) are the
+  // smallest store payloads; a restarted server must read them back.
+  const ScratchDir dir("warm_moments");
+  const std::string deck = write_deck(dir.path, "warm_moments", 2, 12, 900);
+  const std::string store_dir = dir.path + "/store";
+  server::Request load;
+  load.cmd = "load";
+  load.id = 1;
+  load.path = deck;
+  const auto no_exact = [](int net) {
+    return "{\"id\":2,\"cmd\":\"report\",\"net\":\"net_" + std::to_string(net) +
+           "\",\"with_exact\":false}";
+  };
+  server::ServeOptions options;
+  options.store_dir = store_dir;
+  {
+    server::Server first(options);
+    ASSERT_TRUE(server::response_ok(first.handle_line(server::encode_request(load))));
+    for (int i = 0; i < 2; ++i) {
+      const std::string response = first.handle_line(no_exact(i));
+      ASSERT_TRUE(server::response_ok(response)) << response;
+      EXPECT_NE(response.find("\"source\":\"computed\""), std::string::npos) << response;
+    }
+  }
+  server::Server second(options);
+  ASSERT_TRUE(server::response_ok(second.handle_line(server::encode_request(load))));
+  for (int i = 0; i < 2; ++i) {
+    const std::string response = second.handle_line(no_exact(i));
     ASSERT_TRUE(server::response_ok(response)) << response;
     EXPECT_NE(response.find("\"source\":\"store\""), std::string::npos) << response;
   }
@@ -1608,5 +1717,144 @@ TEST(DiskStoreGc, ConcurrentSaveLoadUnderCapStaysConsistent) {
   EXPECT_LE(store.total_bytes(), cap);
   EXPECT_FALSE(std::filesystem::exists(dir.path + "/gc/gc.journal"));
 }
+
+// ------------------------------------------------------- batch/serve parity
+
+#if RCT_FAULT_ENABLED
+
+/// One row in the serve wire form (the `report` command's rows).
+std::string wire_row(const core::NodeReport& r) {
+  std::string out = "{\"name\":";
+  obs::append_json_string(out, r.name);
+  out += ",\"depth\":" + std::to_string(r.depth);
+  const auto field = [&out](const char* key, double v) {
+    out += ",\"";
+    out += key;
+    out += "\":";
+    obs::append_json_double(out, v);
+  };
+  field("elmore", r.elmore);
+  field("lower_bound", r.lower_bound);
+  field("prh_tmin", r.prh_tmin);
+  field("prh_tmax", r.prh_tmax);
+  field("sigma", r.sigma);
+  field("skewness", r.skewness);
+  field("single_pole", r.single_pole);
+  if (r.exact_delay) field("exact_delay", *r.exact_delay);
+  if (r.exact_rise) field("exact_rise", *r.exact_rise);
+  if (r.degraded) out += ",\"degraded\":true";
+  out.push_back('}');
+  return out;
+}
+
+class BatchServeParity : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    robust::fault::disarm_all();
+    robust::fault::reset_fired();
+  }
+  void TearDown() override {
+    robust::fault::disarm_all();
+    robust::fault::reset_fired();
+  }
+  const std::string deck_ = std::string(RCT_TESTDATA_DIR) + "/two_nets.spef";
+};
+
+TEST_F(BatchServeParity, FaultSitesGiveIdenticalRowsAndOutcomes) {
+  // Batch and serve run one per-net pipeline, so under every core.report.*
+  // fault they agree on the rows, the degraded flags and whether the
+  // moments retry answered.
+  const SpefFile file = parse_spef_file(deck_);
+  struct Case {
+    const char* site;  // nullptr = no fault
+    robust::fault::Action action;
+    bool retried;
+    bool degraded;
+  };
+  const Case cases[] = {
+      {nullptr, robust::fault::Action::kThrow, false, false},
+      {"core.report.eigensolve", robust::fault::Action::kThrow, true, true},
+      {"core.report.exact_delay", robust::fault::Action::kNan, false, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.site != nullptr ? c.site : "no fault");
+    robust::fault::disarm_all();
+    if (c.site != nullptr) robust::fault::arm(c.site, c.action);
+
+    engine::BatchOptions batch;
+    batch.jobs = 1;
+    const engine::BatchResult expected = engine::analyze_nets(file.nets, batch);
+
+    server::ServeOptions options;
+    options.jobs = 1;
+    server::Server server(options);
+    server::Request load;
+    load.id = 1;
+    load.cmd = "load";
+    load.path = deck_;
+    const std::string loaded = server.handle_line(server::encode_request(load));
+    ASSERT_TRUE(server::response_ok(loaded)) << loaded;
+
+    for (const engine::NetResult& net : expected.nets) {
+      ASSERT_TRUE(net.ok()) << net.error;
+      EXPECT_EQ(net.retried, c.retried) << net.name;
+      EXPECT_EQ(net.degraded, c.degraded) << net.name;
+      std::string want = "{\"id\":2,\"ok\":true,\"design\":\"c9fe1c8ea586\",\"net\":\"" +
+                         net.name + "\",\"source\":\"computed\"";
+      if (net.retried) want += ",\"retried\":true";
+      want += ",\"rows\":[";
+      for (std::size_t i = 0; i < net.rows.size(); ++i) {
+        if (i > 0) want.push_back(',');
+        want += wire_row(net.rows[i]);
+      }
+      want += "]}";
+      EXPECT_EQ(server.handle_line("{\"id\":2,\"cmd\":\"report\",\"net\":\"" + net.name + "\"}"),
+                want);
+    }
+  }
+}
+
+TEST_F(BatchServeParity, DrainDuringTheRetryEndsTheRequestCancelled) {
+  const ScratchDir dir("parity_drain");
+  server::ServeOptions options;
+  options.listen = dir.path + "/rct.sock";
+  options.jobs = 1;
+  options.drain_timeout_ms = 20;
+  server::Server server(options);
+  server::Request load;
+  load.id = 1;
+  load.cmd = "load";
+  load.path = deck_;
+  ASSERT_TRUE(server::response_ok(server.handle_line(server::encode_request(load))));
+  ASSERT_TRUE(server.start()) << server.error();
+
+  // Every attempt sleeps on entry and the exact path always fails, so the
+  // request is sure to reach the moments retry and linger there.
+  robust::fault::arm("core.report.eigensolve", robust::fault::Action::kThrow);
+  robust::fault::arm("engine.net.analyze", robust::fault::Action::kSleep, 300);
+  std::string response;
+  bool got_response = false;
+  std::thread client_thread([&] {
+    server::Client client;
+    ASSERT_TRUE(client.connect(dir.path + "/rct.sock"));
+    got_response = client.roundtrip("{\"id\":2,\"cmd\":\"report\",\"net\":\"net_a\"}", response);
+  });
+  // The second sleep is the retry's: drain while it is in progress.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (robust::fault::fired_count("engine.net.analyze") < 2 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(robust::fault::fired_count("engine.net.analyze"), 2u);
+  server.request_drain();
+  server.stop();
+  client_thread.join();
+
+  ASSERT_TRUE(got_response) << "in-flight request never got an answer";
+  EXPECT_EQ(server::response_error_code(response), "cancelled") << response;
+  // The cancelled retry was the last attempt: cancellation is never retried.
+  EXPECT_EQ(robust::fault::fired_count("engine.net.analyze"), 2u);
+}
+
+#endif  // RCT_FAULT_ENABLED
 
 }  // namespace

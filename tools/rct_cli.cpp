@@ -1,8 +1,8 @@
 // rct — command-line front end for the RC-tree timing toolkit.
 //
 //   rct report <deck.sp>                 bound report for every node
-//   rct spef <file.spef>                 per-net load-pin bound report
-//   rct batch <file.spef>                parallel per-net report (thread pool)
+//   rct batch <file.spef>                parallel per-net load-pin bound report
+//   rct spef <file.spef>                 alias of `rct batch`
 //   rct serve [--listen P] [--store D]   persistent timing-server daemon
 //   rct client <target> <cmd> [...]      one request against a running server
 //   rct validate <file.spef>             lint a SPEF file, print diagnostics
@@ -61,8 +61,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: rct report <deck.sp>\n"
                "       rct dot <deck.sp>\n"
-               "       rct spef <file.spef> [--exact-limit N] [--lenient] "
-               "[--parse-jobs N] [--metrics-out FILE]\n"
                "       rct batch <file.spef> [--jobs N] [--parse-jobs N] [--json] "
                "[--no-cache] [--exact-limit N]\n"
                "                 [--lenient] [--net-timeout-ms N] [--max-failures N] "
@@ -73,6 +71,7 @@ int usage() {
                "                 [--log-out FILE] [--log-level debug|info|warn|error]\n"
                "                 [--flight-recorder-out FILE] [--top-slow N]\n"
                "                 (FILE arguments accept '-' for stderr)\n"
+               "       rct spef <file.spef> ...        (alias of rct batch)\n"
                "       rct serve [--listen PATH|PORT] [--http PATH|PORT] [--store DIR] "
                "[--jobs N]\n"
                "                 [--parse-jobs N] [--cache-max-entries N] "
@@ -258,18 +257,6 @@ void print_parse_diagnostics(const std::vector<robust::Diagnostic>& diagnostics,
   std::fprintf(stderr, "%s", robust::format_diagnostics(diagnostics).c_str());
   std::fprintf(stderr, "lenient parse: %zu diagnostic(s), %zu net section(s) rejected\n",
                diagnostics.size(), nets_rejected);
-}
-
-/// Parses the command's SPEF input honoring --lenient and --parse-jobs
-/// (mmap + indexed section fan-out).
-SpefFile parse_spef_input(const SpefFlags& flags) {
-  const obs::Span span("cli.spef.parse", "cli", flags.positional[0]);
-  engine::ParseOptions opt;
-  opt.jobs = effective_parse_jobs(flags);
-  opt.spef.lenient = flags.lenient;
-  engine::ParsedSpef parsed = engine::parse_spef_parallel_file(flags.positional[0], opt);
-  print_parse_diagnostics(parsed.file.diagnostics, parsed.file.nets_rejected);
-  return std::move(parsed.file);
 }
 
 int cmd_report(const std::string& path) {
@@ -461,45 +448,12 @@ class ProgressMeter {
   std::thread thread_;
 };
 
-int cmd_spef(const SpefFlags& flags) {
-  obs_begin(flags);
-  int rc = 0;
-  // The try block owns the flusher: on ANY exit — clean, parse error,
-  // analysis throw — its destructor joins the flusher thread before
-  // obs_end() writes the final (authoritative) metrics snapshot.
-  try {
-    const MetricsFlusher flusher(flags);
-    const SpefFile file = parse_spef_input(flags);
-    std::printf("design '%s': %zu net(s)\n", file.design.c_str(), file.nets.size());
-    for (const SpefNet& net : file.nets) {
-      const obs::Span span("cli.spef.net", "cli", net.name);
-      std::printf("\n*D_NET %s  (driver %s, %zu nodes, %s total)\n", net.name.c_str(),
-                  net.driver.c_str(), net.tree.size(),
-                  format_engineering(net.tree.total_capacitance(), "F").c_str());
-      const auto rows = core::build_report(net.tree, flags.batch.report);
-      for (NodeId load : net.loads) {
-        const auto& r = rows[load];
-        std::printf("  load %-12s elmore %-10s bounds [%s, %s]", r.name.c_str(),
-                    format_time(r.elmore).c_str(), format_time(r.lower_bound).c_str(),
-                    format_time(r.elmore).c_str());
-        if (r.exact_delay) std::printf("  exact %s", format_time(*r.exact_delay).c_str());
-        std::printf("\n");
-      }
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    rc = 1;
-  }
-  obs_end(flags);
-  return rc;
-}
-
 /// `--top-slow N`: stderr table of the slowest analyzed nets by wall time
 /// (cache hits and cancelled nets excluded — they did no analysis work).
 void print_top_slow(const engine::BatchResult& result, std::size_t n) {
   std::vector<const engine::NetResult*> nets;
   for (const engine::NetResult& net : result.nets)
-    if (!net.from_cache && net.code != robust::Code::kCancelled) nets.push_back(&net);
+    if (!net.from_cache() && net.code != robust::Code::kCancelled) nets.push_back(&net);
   std::sort(nets.begin(), nets.end(),
             [](const engine::NetResult* a, const engine::NetResult* b) {
               if (a->analyze_seconds != b->analyze_seconds)
@@ -942,10 +896,10 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "report") return cmd_report(argv[2]);
     if (cmd == "dot") return cmd_dot(argv[2]);
-    if (cmd == "spef" || cmd == "batch") {
+    if (cmd == "spef" || cmd == "batch") {  // `spef` is an alias of `batch`
       const SpefFlags flags = parse_spef_flags(argc, argv, 2);
       if (!flags.ok || flags.positional.size() != 1) return usage();
-      return cmd == "spef" ? cmd_spef(flags) : cmd_batch(flags);
+      return cmd_batch(flags);
     }
     if (cmd == "serve") {
       const SpefFlags flags = parse_spef_flags(argc, argv, 2, /*serve_mode=*/true);
