@@ -48,7 +48,7 @@ using namespace rct;
 
 core::ReportOptions bench_options() {
   core::ReportOptions opt;
-  opt.with_exact = false;  // isolate the bound pipeline from the O(N^3) solve
+  opt.with_exact = false;  // isolate the bound pipeline from the O(N^2) solve
   return opt;
 }
 

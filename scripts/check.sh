@@ -8,6 +8,9 @@
 #      std::runtime_error — the engine's failure records depend on codes.
 #   0c. Shared-encoder lint: append_json_string and the FNV-1a offset basis
 #      are defined only in src/obs/encode.{hpp,cpp}.
+#   0d. Exact-path lint: nothing under src/sim calls the dense
+#      symmetric_eigen( — the tree eigensolver is the one exact path; the
+#      dense solver serves PRIMA and the test oracle only.
 #   1. ThreadSanitizer build; runs the engine tests (thread pool, net cache,
 #      batch analyzer), the shared-TreeContext tests, the obs registry/tracer
 #      tests, the robustness tests (deadline/retry/fault injection), the
@@ -25,8 +28,9 @@
 #   3. AddressSanitizer+UBSan build; runs the full ctest suite, then drives
 #      the ASan CLI over every deck in testdata/malformed (strict + lenient):
 #      each must exit 1 with a diagnostic — never crash, never succeed;
-#      finally re-runs the store-GC crash-recovery and socket-chaos suites
-#      by name so a renamed/deleted suite cannot pass silently.
+#      finally re-runs the store-GC crash-recovery, socket-chaos and
+#      exact-path dense-oracle suites by name so a renamed/deleted suite
+#      cannot pass silently.
 #   4. Perf gate (full runs only): rebuilds the benches in Release, re-runs
 #      perf_batch / perf_report / perf_serve / perf_parse on the baseline
 #      workloads and diffs against the committed BENCH_*.json with
@@ -98,6 +102,20 @@ SHARED_HITS=$( (grep -rnE '^\s*(static\s+|inline\s+)*void\s+append_json_string\s
 if [[ -n "$SHARED_HITS" ]]; then
   echo "$SHARED_HITS"
   echo "lint: use obs::append_json_string / obs::fnv1a from src/obs/encode.hpp"
+  exit 1
+fi
+
+# --- lint: one exact path -----------------------------------------------------
+# sim::ExactAnalysis decomposes the tree pencil in O(N^2) with Sturm counts
+# and tree solves.  A dense symmetric_eigen( call under src/sim would bring
+# the O(N^3) path back as a second code path; tests/test_exact_oracle.cpp
+# keeps the dense decomposition as the oracle instead.
+echo "== lint: dense symmetric_eigen( under src/sim =="
+DENSE_HITS=$(grep -rn 'symmetric_eigen(' src/sim || true)
+if [[ -n "$DENSE_HITS" ]]; then
+  echo "$DENSE_HITS"
+  echo "lint: the exact path must not call the dense eigensolver; use the tree"
+  echo "      eigensolver in src/sim/exact.cpp"
   exit 1
 fi
 
@@ -274,15 +292,19 @@ if [[ "$MODE" == "all" || "$MODE" == "--asan-only" ]]; then
   done
   echo "malformed corpus: every deck handled without a crash"
 
-  echo "== store GC crash-recovery + socket chaos under ASan =="
+  echo "== store GC crash-recovery + socket chaos + exact-path oracle under ASan =="
   # The DiskStoreGc suite injects a crash between the eviction journal
   # write and the first unlink, then recovers on reopen; the Chaos suite
   # drives torn writes / short reads / oversized lines over real sockets.
-  # Already part of the full ctest run above, but gated by name so a
-  # filter-level regression (renamed/deleted suite) cannot pass silently.
+  # The ExactOracle suite holds the tree eigensolver to the dense
+  # decomposition and to path-tracing moments.  Already part of the full
+  # ctest run above, but gated by name so a filter-level regression
+  # (renamed/deleted suite) cannot pass silently.
   (cd build-asan &&
     ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
-      ./tests/test_server --gtest_filter='DiskStoreGc.*:Chaos.*' --gtest_fail_fast)
+      ./tests/test_server --gtest_filter='DiskStoreGc.*:Chaos.*' --gtest_fail_fast &&
+    ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
+      ./tests/test_exact_oracle --gtest_filter='ExactOracle.*' --gtest_fail_fast)
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--perf-only" ]]; then

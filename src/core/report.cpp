@@ -104,14 +104,14 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
     // retries the net on the moments path); one that returns garbage is
     // caught just below and degrades every row instead.
     robust::fault::maybe_throw("core.report.eigensolve", robust::Code::kNonConvergence);
-    exact.emplace(tree);
+    exact.emplace(tree, options.deadline);
     if (!poles_valid(*exact)) {
       exact.reset();
       eigensolve_invalid = true;
       eigensolve_invalid_counter().add();
     }
   }
-  // Which path produced the delay column: the O(N^3) eigensolve or
+  // Which path produced the delay column: the O(N^2) eigensolve or
   // moment-based bounds only (limit cutoff, with_exact=false, or a
   // discarded non-convergent solve).
   (exact ? exact_path_counter() : moments_only_counter()).add();

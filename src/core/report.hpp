@@ -37,16 +37,17 @@ struct NodeReport {
 
 /// Options for report generation.
 struct ReportOptions {
-  bool with_exact = true;      ///< run the eigendecomposition (O(N^3))
+  bool with_exact = true;      ///< run the eigendecomposition (O(N^2))
   double fraction = 0.5;       ///< threshold fraction for delays/bounds
   bool leaves_only = false;    ///< restrict rows to leaf nodes
-  /// Largest tree (in nodes) the O(N^3) eigensolve is attempted on; larger
+  /// Largest tree (in nodes) the O(N^2) eigensolve is attempted on; larger
   /// trees get bound-only rows even when with_exact is set.  Shared by the
   /// CLI `spef` and `batch` commands (--exact-limit).
   std::size_t exact_node_limit = 2000;
-  /// Cooperative deadline checked before the eigensolve and every few
-  /// rows; expiry throws robust::Error(kTimeout).  Borrowed, not owned;
-  /// nullptr = no deadline.  Deliberately excluded from NetKey hashing
+  /// Cooperative deadline checked before the eigensolve, inside it every
+  /// 16 eigenvalues and every 16 eigenvectors (sim::ExactAnalysis), and
+  /// every 64 report rows; expiry throws robust::Error(kTimeout).
+  /// Borrowed, not owned; nullptr = no deadline.  Deliberately excluded from NetKey hashing
   /// (it never changes the rows, only whether they finish).
   const robust::Deadline* deadline = nullptr;
 };

@@ -46,8 +46,10 @@ struct BatchOptions {
   /// nullptr = memory only.  Ignored when use_cache is false.
   std::shared_ptr<CacheBackend> cache_backend;
   /// Cooperative per-net deadline in milliseconds; 0 disables.  Checked at
-  /// analysis checkpoints (threads are never killed), so overshoot is
-  /// bounded by the longest uninterruptible step, not by luck.
+  /// analysis checkpoints (threads are never killed): before the report,
+  /// before the exact eigensolve and every 16 eigenvalues and 16
+  /// eigenvectors inside it, and every 64 report rows.  Overshoot is
+  /// bounded by the longest step between two checkpoints, not by luck.
   std::uint64_t net_timeout_ms = 0;
   /// Stop scheduling new nets once this many have failed; 0 = unlimited.
   /// Skipped nets get a kCancelled record.  WHICH nets get cancelled is

@@ -1,17 +1,23 @@
 #pragma once
-// Exact (to machine precision) analysis of an RC tree by symmetric
-// eigendecomposition.
-//
-// The MNA system C v' = -G v + b u(t) is symmetrized with the congruence
-// C^{-1/2} G C^{-1/2}; its eigenvalues are the circuit pole magnitudes and
-// the step response at node i takes the closed form
+// Exact (to machine precision) analysis of an RC tree by eigendecomposition
+// of the pencil G x = lambda C x of its MNA system C v' = -G v + b u(t).
+// The eigenvalues are the circuit pole magnitudes and the step response at
+// node i takes the closed form
 //
 //     s_i(t) = 1 - sum_j a_ij exp(-lambda_j t),   sum_j a_ij = 1.
 //
+// The pencil is never formed densely.  Because G is tree-structured, the
+// leaf-to-root LDL^T of G - lambda C is O(N) with no fill: counting its
+// negative pivots (Sylvester inertia) bisects every eigenvalue, and one O(N)
+// tree solve per inverse-iteration step gives each eigenvector, so the
+// whole decomposition is O(N^2) time and one N x N coefficient array.
+//
 // Impulse responses, saturated-ramp responses and responses to arbitrary
 // monotone sources (by quadrature against the closed-form step) all follow,
-// as do exact threshold-crossing delays via bracketing root search.  This
-// engine regenerates every "actual delay" number in the paper's evaluation.
+// as do exact threshold-crossing delays: step crossings by safeguarded
+// Halley iteration inside the bracket the paper's bounds guarantee
+// (THEORY.md).  This engine regenerates every "actual delay" number in the
+// paper's evaluation.
 //
 // Nodes with zero capacitance are supported by a relative-1e-9 capacitance
 // floor (documented substitution: the perturbation is far below the
@@ -22,6 +28,7 @@
 #include <vector>
 
 #include "rctree/rctree.hpp"
+#include "robust/deadline.hpp"
 #include "sim/sources.hpp"
 #include "sim/waveform.hpp"
 
@@ -30,8 +37,11 @@ namespace rct::sim {
 /// Eigendecomposition-based exact solver for one RC tree.
 class ExactAnalysis {
  public:
-  /// Decomposes the tree (O(N^3); intended for N up to a few thousand).
-  explicit ExactAnalysis(const RCTree& tree);
+  /// Decomposes the tree (O(N^2) time, N^2 doubles of coefficients).  An
+  /// optional cooperative deadline is checked every 16 eigenvalues and every
+  /// 16 eigenvectors; expiry or cancellation throws robust::Error naming
+  /// the checkpoint ("sim.exact.eigenvalues" / "sim.exact.eigenvectors").
+  explicit ExactAnalysis(const RCTree& tree, const robust::Deadline* deadline = nullptr);
 
   [[nodiscard]] std::size_t size() const { return lambda_.size(); }
 
@@ -67,6 +77,10 @@ class ExactAnalysis {
 
   /// Exact time at which the step response crosses `fraction` of its final
   /// value (fraction in (0,1)); the 50% point is the paper's "actual delay".
+  /// Searched by safeguarded Halley iteration inside [max(mu - sigma, 0), mu]
+  /// for the 50% point and the Cantelli bracket otherwise (mu, sigma from
+  /// the row's own coefficients), with the expanding search from 0 as the
+  /// fallback.
   [[nodiscard]] double step_delay(NodeId node, double fraction = 0.5) const;
 
   /// 50%-to-50% delay for an arbitrary source: output crossing minus input
@@ -102,8 +116,11 @@ class ExactAnalysis {
 
  private:
   std::vector<double> lambda_;         // poles, ascending
+  std::vector<double> inv_lambda_;     // 1 / lambda_j, for the crossing brackets
   std::vector<double> coeff_;          // a_ij, row-major [node * n + mode]
   [[nodiscard]] const double* row(NodeId node) const { return coeff_.data() + node * size(); }
+  /// Bracket-expanding Brent search from 0 (the crossing search's fallback).
+  [[nodiscard]] double expanding_crossing(NodeId node, double fraction) const;
 };
 
 }  // namespace rct::sim

@@ -4,7 +4,7 @@
 //
 // Backward Euler (L-stable, 1st order) and trapezoidal (A-stable, 2nd
 // order) companion models are provided.  This is the scalable counterpart
-// of ExactAnalysis: O(N) per step instead of O(N^3) setup, used for the
+// of ExactAnalysis: O(N) per step instead of O(N^2) setup, used for the
 // perf benches and as an independent cross-check of the closed forms.
 
 #include <vector>
